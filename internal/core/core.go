@@ -21,6 +21,7 @@ package core
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/nn"
 	"repro/internal/quant"
@@ -131,7 +132,8 @@ func WithoutWeightCache() Option {
 }
 
 // WithWorkers caps the result-generation parallelism at n goroutines
-// (1 = serial; 0 / unset = the full shared pool).
+// (1 = serial; 0 / unset = the full shared pool), whether the executor
+// splits a batch by sample or a single sample by output channel.
 func WithWorkers(n int) Option {
 	return func(e *Exec) { e.workers = n }
 }
@@ -220,19 +222,27 @@ func (e *Exec) lowBits() int { return e.bits - e.predBits }
 
 // weightCodes bundles a layer's cached high/low weight-code split with the
 // bit-planar forms the default kernels consume (one row per output
-// channel, InC·K·K lanes). The bitplanes are skipped on the legacy and
-// dense paths, which read the row-major int32 codes directly; the
-// high-density executor branch also reads the row-major codes, as the A
-// operand of its wide int-GEMM partials.
+// channel, InC·K·K lanes). Both code halves live in one backing array,
+// stacked = [wh; wl] (2·OutC rows), and hi.Data and lo.Data are its two
+// halves: the high-density executor branch multiplies the whole stack
+// against the low-code im2col in one int-GEMM. The bitplanes are skipped
+// on the legacy and dense paths, which read the row-major int32 codes
+// directly.
 type weightCodes struct {
 	hi, lo     *tensor.IntTensor
+	stacked    []int32
 	hiBP, loBP *tensor.Bitplanes
 }
 
 func (e *Exec) buildWeightCodes(layer *nn.Conv2D) *weightCodes {
 	q := quant.WeightCodes(layer.EffectiveWeight(), e.bits)
-	hi, lo := quant.SplitCodesRounded(q, e.lowBits(), true)
-	wc := &weightCodes{hi: hi, lo: lo}
+	size := len(q.Data)
+	stacked := make([]int32, 2*size)
+	quant.SplitRounded(stacked[:size], stacked[size:], q.Data, q.Bits, e.lowBits(), true)
+	hiScale, loScale := e.splitScales(q.Scale)
+	hi := &tensor.IntTensor{Shape: q.Shape, Data: stacked[:size:size], Scale: hiScale, Bits: e.predBits}
+	lo := &tensor.IntTensor{Shape: q.Shape, Data: stacked[size:], Scale: loScale, Bits: e.lowBits() + 1}
+	wc := &weightCodes{hi: hi, lo: lo, stacked: stacked}
 	if !e.dense && !e.noBitplane {
 		outC := hi.Shape[0]
 		lanes := hi.Shape[1] * hi.Shape[2] * hi.Shape[3]
@@ -242,6 +252,12 @@ func (e *Exec) buildWeightCodes(layer *nn.Conv2D) *weightCodes {
 		wc.loBP.PackRows(lo.Data)
 	}
 	return wc
+}
+
+// splitScales returns the scales quant.SplitCodesRounded gives the high
+// and low parts of codes quantized at scale.
+func (e *Exec) splitScales(scale float32) (hi, lo float32) {
+	return scale * float32(int32(1)<<uint(e.lowBits())), scale
 }
 
 // weights returns the cached weight codes for a layer. Quantization runs
@@ -338,21 +354,21 @@ func (e *Exec) convQ(qx *tensor.IntTensor, layer *nn.Conv2D, epi *Epilogue, xRef
 	defer spConv.End()
 	mODQConvs.Inc()
 	n := qx.Shape[0]
-	xh, xl := quant.SplitCodesRounded(qx, e.lowBits(), false)
 	wc := e.weights(layer)
 	wh, wl := wc.hi, wc.lo
 
-	g := quant.AccumGeometry(xh, wh, layer.Stride, layer.Pad)
+	g := quant.AccumGeometry(qx, wh, layer.Stride, layer.Pad)
 	perSample := g.TotalOutputs()
 	total := n * perSample
-	predScale := xh.Scale * wh.Scale
+	xhScale, xlScale := e.splitScales(qx.Scale)
+	predScale := xhScale * wh.Scale
 	th := e.threshold
 	if v, ok := e.layerThresholds[layer.Name]; ok {
 		th = v
 	}
-	sHL := xh.Scale * wl.Scale
-	sLH := xl.Scale * wh.Scale
-	sLL := xl.Scale * wl.Scale
+	sHL := xhScale * wl.Scale
+	sLH := xlScale * wh.Scale
+	sLL := xlScale * wl.Scale
 
 	mask := make([]bool, total)
 	var ev *epiEval
@@ -371,6 +387,7 @@ func (e *Exec) convQ(qx *tensor.IntTensor, layer *nn.Conv2D, epi *Epilogue, xRef
 		// Legacy two-stage path: batched int-GEMM predictor, then dense
 		// or scalar-sparse result generation, then (optionally) the
 		// epilogue as a post-pass over the float tensor.
+		xh, xl := quant.SplitCodesRounded(qx, e.lowBits(), false)
 		spPred := telemetry.StartSpan("odq.predictor")
 		predAcc := tensor.GetInt64(total)
 		quant.ConvAccumInto(predAcc, xh, wh, layer.Stride, layer.Pad)
@@ -395,7 +412,7 @@ func (e *Exec) convQ(qx *tensor.IntTensor, layer *nn.Conv2D, epi *Epilogue, xRef
 			}
 		}
 	} else {
-		sensitive = e.resultBitplane(out, codes, ev, mask, xh, xl, wc, g, predScale, th, sHL, sLH, sLL)
+		sensitive = e.resultBitplane(out, codes, ev, mask, qx, wc, g, predScale, th, sHL, sLH, sLL)
 	}
 	if telemetry.Enabled() {
 		macsPerOut := int64(g.ColRows())
@@ -470,47 +487,70 @@ func (e *Exec) maskSample(seg []int64, mseg []bool, predScale, th float32) {
 // the output — it only moves work.
 const bitplaneGEMMCutover = 0.45
 
-// resultBitplane is the default execution path: per sample, the high
-// activation codes are gathered receptive-field-at-a-time and bitplane-
-// packed in one pass (no transposed im2col matrix is ever materialized),
-// the sensitivity predictor runs as AND+POPCNT row products
-// (tensor.BitplaneMulRow), and the executor computes the three remaining
-// partials only as directed by the realized mask — fused per-output
-// bitplane dots (tensor.BitplaneDot3) at low density, wide int-GEMM
-// partials (weight codes × im2col, the same orientation the dense path
-// uses) above bitplaneGEMMCutover. Exact integer arithmetic end to end
-// keeps it bit-identical to the int-GEMM paths; the shared fuse() keeps
-// the float combination identical. Writes requantized codes directly
-// when ev is non-nil (fused epilogue), float partial sums into out
-// otherwise. Returns the sensitive count.
+// execPool supplies the worker pool of the default execution path. It is a
+// variable (not a direct DefaultPool call) so tests can substitute a
+// multi-worker pool and exercise the sample fan-out even on single-CPU
+// machines.
+var execPool = tensor.DefaultPool
+
+// resultBitplane is the default execution path. Per sample, the
+// activation codes are split into high and low parts, the high codes are
+// gathered receptive-field-at-a-time and bitplane-packed in one pass (no
+// transposed im2col matrix is ever materialized), the sensitivity
+// predictor runs as AND+POPCNT row products (tensor.BitplaneMulRow), and
+// the executor computes the three remaining partials only as directed by
+// the realized mask — fused per-output bitplane dots
+// (tensor.BitplaneDot3) at low density, wide int-GEMM partials (weight
+// codes × im2col, the same orientation the dense path uses) above
+// bitplaneGEMMCutover. Exact integer arithmetic end to end keeps it
+// bit-identical to the int-GEMM paths; the shared fuse() keeps the float
+// combination identical. Writes requantized codes directly when ev is
+// non-nil (fused epilogue), float partial sums into out otherwise.
+// Returns the sensitive count.
+//
+// The work split follows the batch: a batch of two or more samples fans
+// out across the shared pool, one task per worker (capped by
+// WithWorkers), each task taking its scratch once and pulling whole
+// samples until none are left; a single sample splits its output
+// channels across the pool instead. Each sample writes only its own
+// slices of mask, out and codes, so the split never changes a bit.
 func (e *Exec) resultBitplane(out *tensor.Tensor, codes []uint8, ev *epiEval, mask []bool,
-	xh, xl *tensor.IntTensor, wc *weightCodes, g tensor.ConvGeom,
+	qx *tensor.IntTensor, wc *weightCodes, g tensor.ConvGeom,
 	predScale, th, sHL, sLH, sLL float32) int64 {
-	n := xh.Shape[0]
+	n := qx.Shape[0]
 	rows, cols := g.ColRows(), g.ColCols()
 	perSample := g.TotalOutputs()
 	per := g.InC * g.InH * g.InW
-	pool := tensor.DefaultPool()
+	pool := execPool()
 	outC := g.OutC
 	whBP, wlBP := wc.hiBP, wc.loBP
+	lowBits := e.lowBits()
 
-	predAcc := tensor.GetInt64(perSample)
-	xhBP := &tensor.Bitplanes{R: cols, L: rows, P: xh.Bits, W: tensor.BitplaneWords(rows),
-		Data: tensor.GetUint64(tensor.BitplaneSize(cols, rows, xh.Bits))}
+	tasks := 1
+	if n >= 2 {
+		tasks = pool.Size()
+		if e.workers > 0 && e.workers < tasks {
+			tasks = e.workers
+		}
+		if tasks > n {
+			tasks = n
+		}
+	}
+	// A lone task (batch 1, a serial executor or a one-worker pool)
+	// splits each sample's output channels instead.
+	chanWorkers := e.workers
+	if tasks > 1 {
+		chanWorkers = 1
+	}
 
-	// Executor scratch, allocated lazily: the bitplane branch needs the
-	// packed low codes, the GEMM branch an im2col column matrix plus
-	// three accumulator planes. A forward whose samples all land on one
-	// side never pays for the other.
-	var colBuf []int32
-	var xlBP *tensor.Bitplanes
-	var hlAcc, lhAcc, llAcc []int64
-
-	var sensitive int64
-	for s := 0; s < n; s++ {
+	// sample runs the predictor and executor for sample s on one task's
+	// scratch and returns its sensitive count.
+	sample := func(s int, sc *bitplaneScratch) int64 {
 		spPred := telemetry.StartSpan("odq.predictor")
-		tensor.Im2colIntTPack(xh.Data[s*per:(s+1)*per], g, nil, xhBP)
-		pool.ParallelLimited(e.workers, outC, func(oc int) {
+		quant.SplitRounded(sc.xh, sc.xl, qx.Data[s*per:(s+1)*per], qx.Bits, lowBits, false)
+		predAcc, xhBP := sc.predAcc, sc.xhBP
+		tensor.Im2colIntTPack(sc.xh, g, nil, xhBP)
+		pool.ParallelLimited(chanWorkers, outC, func(oc int) {
 			tensor.BitplaneMulRow(predAcc[oc*cols:(oc+1)*cols], whBP, oc, xhBP)
 		})
 		mseg := mask[s*perSample : (s+1)*perSample]
@@ -523,83 +563,114 @@ func (e *Exec) resultBitplane(out *tensor.Tensor, codes []uint8, ev *epiEval, ma
 				sens++
 			}
 		}
-		sensitive += int64(sens)
 
 		spExec := telemetry.StartSpan("odq.executor")
-		sampleBase := s * perSample
-		if float64(sens) >= bitplaneGEMMCutover*float64(perSample) {
-			if hlAcc == nil {
-				hlAcc = tensor.GetInt64(perSample)
-				lhAcc = tensor.GetInt64(perSample)
-				llAcc = tensor.GetInt64(perSample)
+		defer spExec.End()
+		// One branch per sample: wide int-GEMM partials above the
+		// cutover, per-output bitplane dots below it.
+		gemm := float64(sens) >= bitplaneGEMMCutover*float64(perSample)
+		var hlAcc, lhAcc, llAcc []int64
+		var xlBP *tensor.Bitplanes
+		if gemm {
+			// hl = wl × im2col(xh); lh and ll come from one GEMM of the
+			// stacked [wh; wl] against im2col(xl), so the low-code
+			// columns are packed once for both.
+			if sc.col == nil {
+				sc.col = tensor.GetInt32(rows * cols)
+				sc.hlAcc = tensor.GetInt64(perSample)
+				sc.lhllAcc = tensor.GetInt64(2 * perSample)
 			}
-			if colBuf == nil {
-				colBuf = tensor.GetInt32(rows * cols)
-			}
-			tensor.Im2colInt(xh.Data[s*per:(s+1)*per], g, colBuf)
-			tensor.GemmInt(wc.lo.Data, colBuf, hlAcc, outC, rows, cols)
-			tensor.Im2colInt(xl.Data[s*per:(s+1)*per], g, colBuf)
-			tensor.GemmInt(wc.hi.Data, colBuf, lhAcc, outC, rows, cols)
-			tensor.GemmInt(wc.lo.Data, colBuf, llAcc, outC, rows, cols)
-			pool.ParallelLimited(e.workers, outC, func(oc int) {
-				base := oc * cols
-				for j := 0; j < cols; j++ {
-					i := base + j
-					var v float32
-					if !mseg[i] {
-						v = float32(predAcc[i]) * predScale
-					} else {
-						v = fuse(predAcc[i], hlAcc[i], lhAcc[i], llAcc[i], predScale, sHL, sLH, sLL)
-					}
-					if ev != nil {
-						codes[sampleBase+i] = ev.code(v, oc)
-					} else {
-						out.Data[sampleBase+i] = v
-					}
-				}
-			})
+			tensor.Im2colInt(sc.xh, g, sc.col)
+			tensor.GemmInt(wc.lo.Data, sc.col, sc.hlAcc, outC, rows, cols)
+			tensor.Im2colInt(sc.xl, g, sc.col)
+			tensor.GemmInt(wc.stacked, sc.col, sc.lhllAcc, 2*outC, rows, cols)
+			hlAcc, lhAcc, llAcc = sc.hlAcc, sc.lhllAcc[:perSample], sc.lhllAcc[perSample:]
 		} else {
-			if xlBP == nil {
-				xlBP = &tensor.Bitplanes{R: cols, L: rows, P: xl.Bits, W: tensor.BitplaneWords(rows), Signed: true,
-					Data: tensor.GetUint64(tensor.BitplaneSize(cols, rows, xl.Bits))}
+			if sc.xlBP == nil {
+				sc.xlBP = &tensor.Bitplanes{R: cols, L: rows, P: lowBits + 1, W: tensor.BitplaneWords(rows), Signed: true,
+					Data: tensor.GetUint64(tensor.BitplaneSize(cols, rows, lowBits+1))}
 			}
-			tensor.Im2colIntTPack(xl.Data[s*per:(s+1)*per], g, nil, xlBP)
-			pool.ParallelLimited(e.workers, outC, func(oc int) {
-				base := oc * cols
-				for j := 0; j < cols; j++ {
-					i := base + j
-					var v float32
-					if !mseg[i] {
-						v = float32(predAcc[i]) * predScale
-					} else {
-						hl, lh, ll := tensor.BitplaneDot3(xhBP, xlBP, j, whBP, wlBP, oc)
-						v = fuse(predAcc[i], hl, lh, ll, predScale, sHL, sLH, sLL)
-					}
-					if ev != nil {
-						codes[sampleBase+i] = ev.code(v, oc)
-					} else {
-						out.Data[sampleBase+i] = v
-					}
-				}
-			})
+			xlBP = sc.xlBP
+			tensor.Im2colIntTPack(sc.xl, g, nil, xlBP)
 		}
-		spExec.End()
+		sampleBase := s * perSample
+		pool.ParallelLimited(chanWorkers, outC, func(oc int) {
+			base := oc * cols
+			for j := 0; j < cols; j++ {
+				i := base + j
+				var v float32
+				switch {
+				case !mseg[i]:
+					v = float32(predAcc[i]) * predScale
+				case gemm:
+					v = fuse(predAcc[i], hlAcc[i], lhAcc[i], llAcc[i], predScale, sHL, sLH, sLL)
+				default:
+					hl, lh, ll := tensor.BitplaneDot3(xhBP, xlBP, j, whBP, wlBP, oc)
+					v = fuse(predAcc[i], hl, lh, ll, predScale, sHL, sLH, sLL)
+				}
+				if ev != nil {
+					codes[sampleBase+i] = ev.code(v, oc)
+				} else {
+					out.Data[sampleBase+i] = v
+				}
+			}
+		})
+		return int64(sens)
 	}
 
-	tensor.PutInt64(predAcc)
-	tensor.PutUint64(xhBP.Data)
-	if colBuf != nil {
-		tensor.PutInt32(colBuf)
+	var next, sensitive atomic.Int64
+	pool.ParallelLimited(tasks, tasks, func(int) {
+		sc := newBitplaneScratch(per, perSample, rows, cols, e.predBits)
+		defer sc.release()
+		for {
+			s := int(next.Add(1)) - 1
+			if s >= n {
+				return
+			}
+			sensitive.Add(sample(s, sc))
+		}
+	})
+	return sensitive.Load()
+}
+
+// bitplaneScratch is one resultBitplane task's pooled working set: a
+// sample's split activation codes, its predictor accumulators and packed
+// high codes, plus the executor buffers of whichever branch its samples
+// take. The branch buffers are allocated on first use, so a task whose
+// samples all land on one side never pays for the other.
+type bitplaneScratch struct {
+	xh, xl  []int32
+	predAcc []int64
+	xhBP    *tensor.Bitplanes
+
+	xlBP           *tensor.Bitplanes
+	col            []int32
+	hlAcc, lhllAcc []int64
+}
+
+func newBitplaneScratch(per, perSample, rows, cols, hiBits int) *bitplaneScratch {
+	return &bitplaneScratch{
+		xh:      tensor.GetInt32(per),
+		xl:      tensor.GetInt32(per),
+		predAcc: tensor.GetInt64(perSample),
+		xhBP: &tensor.Bitplanes{R: cols, L: rows, P: hiBits, W: tensor.BitplaneWords(rows),
+			Data: tensor.GetUint64(tensor.BitplaneSize(cols, rows, hiBits))},
 	}
-	if xlBP != nil {
-		tensor.PutUint64(xlBP.Data)
+}
+
+func (sc *bitplaneScratch) release() {
+	tensor.PutInt32(sc.xh)
+	tensor.PutInt32(sc.xl)
+	tensor.PutInt64(sc.predAcc)
+	tensor.PutUint64(sc.xhBP.Data)
+	if sc.xlBP != nil {
+		tensor.PutUint64(sc.xlBP.Data)
 	}
-	if hlAcc != nil {
-		tensor.PutInt64(hlAcc)
-		tensor.PutInt64(lhAcc)
-		tensor.PutInt64(llAcc)
+	if sc.col != nil {
+		tensor.PutInt32(sc.col)
+		tensor.PutInt64(sc.hlAcc)
+		tensor.PutInt64(sc.lhllAcc)
 	}
-	return sensitive
 }
 
 // resultSparse is the legacy sparse result generator: the HL/LH/LL

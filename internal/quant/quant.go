@@ -305,8 +305,21 @@ func SplitCodesSigned(t *tensor.IntTensor, lowBits int) (hi, lo *tensor.IntTenso
 // signed, hi is clamped to the 2-bit two's-complement range [−2, 1];
 // unsigned hi clamps to [0, 2^(bits−n)−1].
 func SplitCodesRounded(t *tensor.IntTensor, lowBits int, signed bool) (hi, lo *tensor.IntTensor) {
+	hi = tensor.NewInt(t.Bits-lowBits, t.Scale*float32(int32(1)<<uint(lowBits)), t.Shape...)
+	lo = tensor.NewInt(lowBits+1, t.Scale, t.Shape...)
+	SplitRounded(hi.Data, lo.Data, t.Data, t.Bits, lowBits, signed)
+	return hi, lo
+}
+
+// SplitRounded is the slice-level form of SplitCodesRounded: it splits the
+// bits-wide codes into caller-provided hi and lo (each at least
+// len(codes)), so hot paths can split one sample at a time into pooled
+// scratch or lay both halves out in one backing array. Read the hi codes
+// at scale·2^lowBits with bits−lowBits bits and the lo codes at the input
+// scale with lowBits+1 bits, as SplitCodesRounded labels them.
+func SplitRounded(hi, lo, codes []int32, bits, lowBits int, signed bool) {
 	n := uint(lowBits)
-	hiBits := t.Bits - lowBits
+	hiBits := bits - lowBits
 	var hiMin, hiMax int32
 	if signed {
 		hiMin = -(int32(1) << uint(hiBits-1))
@@ -317,9 +330,8 @@ func SplitCodesRounded(t *tensor.IntTensor, lowBits int, signed bool) (hi, lo *t
 	}
 	half := int32(1) << (n - 1)
 	step := int32(1) << n
-	hi = tensor.NewInt(hiBits, t.Scale*float32(step), t.Shape...)
-	lo = tensor.NewInt(lowBits+1, t.Scale, t.Shape...)
-	for i, c := range t.Data {
+	hi, lo = hi[:len(codes)], lo[:len(codes)]
+	for i, c := range codes {
 		var h int32
 		if c >= 0 {
 			h = (c + half) / step
@@ -331,10 +343,9 @@ func SplitCodesRounded(t *tensor.IntTensor, lowBits int, signed bool) (hi, lo *t
 		} else if h > hiMax {
 			h = hiMax
 		}
-		hi.Data[i] = h
-		lo.Data[i] = c - h*step
+		hi[i] = h
+		lo[i] = c - h*step
 	}
-	return hi, lo
 }
 
 // ConvAccum runs an integer convolution of quantized activations

@@ -824,6 +824,16 @@ func (s *Server) execBatch(r *replica, batch []*pending) {
 	s.hExec.Record(float64(time.Since(execStart)) / float64(time.Millisecond))
 	spExec.End()
 
+	// Count the batch before answering it, so a client holding its
+	// response already sees the request in /v1/status.
+	s.served.Add(int64(n))
+	s.batches.Add(1)
+	s.batchSum.Add(int64(n))
+	r.served.Add(int64(n))
+	r.batches.Add(1)
+	s.mBatches.Inc()
+	s.hBatchSize.Observe(float64(n))
+
 	spScatter := telemetry.StartSpan("serve.scatter")
 	scatterStart := time.Now()
 	gen := sess.Generation()
@@ -847,14 +857,6 @@ func (s *Server) execBatch(r *replica, batch []*pending) {
 	}
 	s.hScatter.Record(float64(time.Since(scatterStart)) / float64(time.Millisecond))
 	spScatter.End()
-
-	s.served.Add(int64(n))
-	s.batches.Add(1)
-	s.batchSum.Add(int64(n))
-	r.served.Add(int64(n))
-	r.batches.Add(1)
-	s.mBatches.Inc()
-	s.hBatchSize.Observe(float64(n))
 }
 
 // sampleQPS publishes the per-model QPS gauge once a second until drain.

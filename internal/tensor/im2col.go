@@ -77,7 +77,9 @@ func Im2col(src []float32, g ConvGeom, dst []float32) {
 	}
 }
 
-// Im2colInt is Im2col over int32 codes, used by the quantized paths.
+// Im2colInt is Im2col over int32 codes, used by the quantized paths. Each
+// (row, output row) segment is written as zero padding around one run of
+// in-image taps, which is a single contiguous copy at stride 1.
 func Im2colInt(src []int32, g ConvGeom, dst []int32) {
 	rows, cols := g.ColRows(), g.ColCols()
 	if len(dst) < rows*cols {
@@ -88,31 +90,49 @@ func Im2colInt(src []int32, g ConvGeom, dst []int32) {
 		for kh := 0; kh < g.K; kh++ {
 			for kw := 0; kw < g.K; kw++ {
 				row := (c*g.K+kh)*g.K + kw
-				dstRow := dst[row*cols : (row+1)*cols]
-				idx := 0
+				lo, hi := tapSpan(g, kw)
 				for oh := 0; oh < g.OutH; oh++ {
+					d := dst[row*cols+oh*g.OutW : row*cols+(oh+1)*g.OutW]
 					ih := oh*g.Stride - g.Pad + kh
-					if ih < 0 || ih >= g.InH {
-						for ow := 0; ow < g.OutW; ow++ {
-							dstRow[idx] = 0
-							idx++
-						}
+					if ih < 0 || ih >= g.InH || lo == hi {
+						clear(d)
 						continue
 					}
-					rowBase := chanBase + ih*g.InW
-					for ow := 0; ow < g.OutW; ow++ {
-						iw := ow*g.Stride - g.Pad + kw
-						if iw < 0 || iw >= g.InW {
-							dstRow[idx] = 0
-						} else {
-							dstRow[idx] = src[rowBase+iw]
-						}
-						idx++
+					clear(d[:lo])
+					clear(d[hi:])
+					srcRow := src[chanBase+ih*g.InW : chanBase+(ih+1)*g.InW]
+					iw := lo*g.Stride - g.Pad + kw
+					if g.Stride == 1 {
+						copy(d[lo:hi], srcRow[iw:])
+						continue
+					}
+					for ow := lo; ow < hi; ow++ {
+						d[ow] = srcRow[iw]
+						iw += g.Stride
 					}
 				}
 			}
 		}
 	}
+}
+
+// tapSpan returns the output columns [lo, hi) whose kernel column kw reads
+// inside the image (0 <= ow·Stride − Pad + kw < InW); the rest read
+// padding.
+func tapSpan(g ConvGeom, kw int) (lo, hi int) {
+	if off := g.Pad - kw; off > 0 {
+		lo = (off + g.Stride - 1) / g.Stride
+	}
+	hi = (g.InW + g.Pad - kw + g.Stride - 1) / g.Stride
+	if hi > g.OutW {
+		hi = g.OutW
+	} else if hi < 0 {
+		hi = 0
+	}
+	if lo > hi {
+		lo = hi
+	}
+	return lo, hi
 }
 
 // Im2colIntT writes the TRANSPOSED integer column matrix: dst has shape

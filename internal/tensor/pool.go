@@ -15,8 +15,9 @@ import (
 // fans out) is bounded by the machine, not multiplied by it.
 //
 // ParallelN is deadlock-free under nesting because the caller always
-// participates in the work: if every pooled worker is busy, the calling
-// goroutine drains its own task set inline.
+// participates in the work and waits only for tasks already claimed: if
+// every pooled worker is busy, the calling goroutine drains its own task
+// set inline.
 type Pool struct {
 	queue chan func()
 	size  int
@@ -71,6 +72,11 @@ func (p *Pool) ParallelN(n int, fn func(i int)) {
 // ParallelLimited is ParallelN with concurrency capped at limit (<=0 or
 // >size means the full pool). The calling goroutine always executes tasks
 // itself; pooled workers only help, which keeps nested calls deadlock-free.
+// The caller waits only for tasks some goroutine has claimed, never for a
+// queued helper to start: when every worker is busy inside a nested call
+// of its own (concurrent callers fanning out, each task fanning out
+// again), the caller finishes the work alone and a helper that starts
+// late finds nothing left and returns at once.
 func (p *Pool) ParallelLimited(limit, n int, fn func(i int)) {
 	if limit <= 0 || limit > p.size {
 		limit = p.size
@@ -86,34 +92,30 @@ func (p *Pool) ParallelLimited(limit, n int, fn func(i int)) {
 		}
 		return
 	}
-	var next int64
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(n)
 	drain := func() {
 		for {
-			i := int(atomic.AddInt64(&next, 1)) - 1
+			i := int(next.Add(1)) - 1
 			if i >= n {
 				return
 			}
 			fn(i)
+			wg.Done()
 		}
 	}
 	helpers := limit - 1
 	if helpers > n-1 {
 		helpers = n - 1
 	}
-	var wg sync.WaitGroup
 	for h := 0; h < helpers; h++ {
-		wg.Add(1)
-		job := func() {
-			defer wg.Done()
-			drain()
-		}
 		select {
-		case p.queue <- job:
+		case p.queue <- drain:
 		default:
-			// Queue saturated (deeply nested parallelism): run inline
-			// rather than block on a worker that may be waiting on us.
+			// Queue saturated (deeply nested parallelism): the caller's
+			// own drain below covers the work.
 			mPoolSaturated.Inc()
-			job()
 		}
 	}
 	drain()

@@ -339,23 +339,39 @@ func TestIm2colPaddingZeros(t *testing.T) {
 }
 
 func TestIm2colIntMatchesFloat(t *testing.T) {
-	g := Geometry(2, 5, 4, 3, 3, 2, 1)
-	n := 2 * 5 * 4
-	srcF := make([]float32, n)
-	srcI := make([]int32, n)
-	rng := NewRNG(11)
-	for i := range srcF {
-		v := int32(rng.Intn(15) - 7)
-		srcI[i] = v
-		srcF[i] = float32(v)
+	// The float im2col is the plain per-element reference; the int one
+	// copies in-image runs, so every pad/stride edge case is pinned here.
+	geoms := []ConvGeom{
+		Geometry(2, 5, 4, 3, 3, 2, 1),
+		Geometry(3, 8, 8, 4, 3, 1, 1),
+		Geometry(2, 7, 9, 2, 3, 2, 0),
+		Geometry(1, 6, 6, 1, 1, 1, 0),
+		Geometry(2, 9, 11, 3, 5, 1, 2),
+		Geometry(2, 11, 13, 3, 3, 3, 2),
+		Geometry(1, 1, 1, 1, 5, 1, 2),
+		Geometry(1, 3, 2, 1, 5, 2, 3),
 	}
-	dstF := make([]float32, g.ColRows()*g.ColCols())
-	dstI := make([]int32, g.ColRows()*g.ColCols())
-	Im2col(srcF, g, dstF)
-	Im2colInt(srcI, g, dstI)
-	for i := range dstF {
-		if float32(dstI[i]) != dstF[i] {
-			t.Fatalf("int and float im2col disagree at %d", i)
+	rng := NewRNG(11)
+	for _, g := range geoms {
+		n := g.InC * g.InH * g.InW
+		srcF := make([]float32, n)
+		srcI := make([]int32, n)
+		for i := range srcF {
+			v := int32(rng.Intn(15) - 7)
+			srcI[i] = v
+			srcF[i] = float32(v)
+		}
+		dstF := make([]float32, g.ColRows()*g.ColCols())
+		dstI := make([]int32, g.ColRows()*g.ColCols())
+		for i := range dstI {
+			dstI[i] = 99 // stale scratch must be overwritten
+		}
+		Im2col(srcF, g, dstF)
+		Im2colInt(srcI, g, dstI)
+		for i := range dstF {
+			if float32(dstI[i]) != dstF[i] {
+				t.Fatalf("%+v: int and float im2col disagree at %d", g, i)
+			}
 		}
 	}
 }
