@@ -1,4 +1,4 @@
-.PHONY: all build test vet race verify verify-quick bench snapshot bench-train bench-telemetry bench-bitplane bench-dist bench-compare profile
+.PHONY: all build test vet race verify verify-quick bench bench-train bench-telemetry bench-bitplane bench-dist bench-compare profile
 
 all: build
 
@@ -23,14 +23,11 @@ verify:
 verify-quick:
 	go vet ./...
 	go build ./...
+	cd odqbench && go vet ./... && go build ./...
 	go test -short -timeout 15m ./...
 
 bench:
 	go test -bench=. -benchmem -run '^$$' .
-
-# Regenerate the committed benchmark snapshot (BENCH_odq_conv.json).
-snapshot:
-	ODQ_BENCH_SNAPSHOT=1 go test -run TestODQConvBenchSnapshot -v .
 
 # Regenerate the committed training/GEMM snapshot (BENCH_train_gemm.json):
 # packed vs seed kernels at CNN shapes plus end-to-end QAT step throughput

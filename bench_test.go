@@ -343,8 +343,8 @@ func BenchmarkAblationPredictor4Bit(b *testing.B) {
 // sensitive outputs, in parallel across output channels. These benches
 // pin the sensitive fraction at ~30%/60%/100% and compare the sparse
 // parallel path against the dense-select reference and against serial
-// execution. TestODQConvBenchSnapshot (ODQ_BENCH_SNAPSHOT=1) writes the
-// same grid to BENCH_odq_conv.json.
+// execution. End-to-end and per-layer numbers come from the repository
+// benchmark (bash odqbench/run.sh).
 
 // thresholdForSensitivity bisects the ODQ threshold until the executor's
 // sensitive fraction lands near target on the given layer/input.

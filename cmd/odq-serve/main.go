@@ -161,7 +161,14 @@ func main() {
 		"max_batch", *maxBatch, "deadline", *batchDeadline,
 		"replicas", srv.Replicas())
 
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	// Bound how long a client may hold a connection without sending a
+	// full request; inference itself is bounded by the queue, not here.
+	httpSrv := &http.Server{
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: 5 * time.Second,
+		ReadTimeout:       30 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 

@@ -493,20 +493,23 @@ const bitplaneGEMMCutover = 0.45
 // machines.
 var execPool = tensor.DefaultPool
 
-// resultBitplane is the default execution path. Per sample, the
-// activation codes are split into high and low parts, the high codes are
-// gathered receptive-field-at-a-time and bitplane-packed in one pass (no
-// transposed im2col matrix is ever materialized), the sensitivity
+// resultBitplane is the default execution path. Per sample, one pass over
+// the activation codes splits each input row into its high and low parts
+// (quant.SplitRounded's rounding) and packs both into row bitplanes
+// (tensor.RowBitplanes); the high rows are expanded into every output
+// position's receptive-field planes by shift-and-mask
+// (tensor.Im2colIntTPack — no int32 im2col is built), the sensitivity
 // predictor runs as AND+POPCNT row products (tensor.BitplaneMulRow), and
 // the executor computes the three remaining partials only as directed by
 // the realized mask — fused per-output bitplane dots
-// (tensor.BitplaneDot3) at low density, wide int-GEMM partials (weight
-// codes × im2col, the same orientation the dense path uses) above
-// bitplaneGEMMCutover. Exact integer arithmetic end to end keeps it
-// bit-identical to the int-GEMM paths; the shared fuse() keeps the float
-// combination identical. Writes requantized codes directly when ev is
-// non-nil (fused epilogue), float partial sums into out otherwise.
-// Returns the sensitive count.
+// (tensor.BitplaneDot3) over the expanded low rows at low density, wide
+// int-GEMM partials (weight codes × im2col, the same orientation the
+// dense path uses) above bitplaneGEMMCutover. Only that GEMM branch
+// makes the whole-sample int32 code split, which Im2colInt reads. Exact
+// integer arithmetic end to end keeps it bit-identical to the int-GEMM
+// paths; the shared fuse() keeps the float combination identical.
+// Writes requantized codes directly when ev is non-nil (fused epilogue),
+// float partial sums into out otherwise. Returns the sensitive count.
 //
 // The work split follows the batch: a batch of two or more samples fans
 // out across the shared pool, one task per worker (capped by
@@ -547,9 +550,19 @@ func (e *Exec) resultBitplane(out *tensor.Tensor, codes []uint8, ev *epiEval, ma
 	// scratch and returns its sensitive count.
 	sample := func(s int, sc *bitplaneScratch) int64 {
 		spPred := telemetry.StartSpan("odq.predictor")
-		quant.SplitRounded(sc.xh, sc.xl, qx.Data[s*per:(s+1)*per], qx.Bits, lowBits, false)
+		xq := qx.Data[s*per : (s+1)*per]
+		// One pass over the sample's codes: split each input row into
+		// its high and low parts and pack both into row bitplanes.
+		for c := 0; c < g.InC; c++ {
+			for h := 0; h < g.InH; h++ {
+				row := xq[(c*g.InH+h)*g.InW : (c*g.InH+h+1)*g.InW]
+				quant.SplitRounded(sc.hRow, sc.lRow, row, qx.Bits, lowBits, false)
+				sc.xhRows.PackRow(c, h, sc.hRow)
+				sc.xlRows.PackRow(c, h, sc.lRow)
+			}
+		}
 		predAcc, xhBP := sc.predAcc, sc.xhBP
-		tensor.Im2colIntTPack(sc.xh, g, nil, xhBP)
+		tensor.Im2colIntTPack(sc.xhRows, g, xhBP)
 		pool.ParallelLimited(chanWorkers, outC, func(oc int) {
 			tensor.BitplaneMulRow(predAcc[oc*cols:(oc+1)*cols], whBP, oc, xhBP)
 		})
@@ -574,12 +587,16 @@ func (e *Exec) resultBitplane(out *tensor.Tensor, codes []uint8, ev *epiEval, ma
 		if gemm {
 			// hl = wl × im2col(xh); lh and ll come from one GEMM of the
 			// stacked [wh; wl] against im2col(xl), so the low-code
-			// columns are packed once for both.
+			// columns are packed once for both. Only this branch needs
+			// the int32 split.
 			if sc.col == nil {
+				sc.xh = tensor.GetInt32(per)
+				sc.xl = tensor.GetInt32(per)
 				sc.col = tensor.GetInt32(rows * cols)
 				sc.hlAcc = tensor.GetInt64(perSample)
 				sc.lhllAcc = tensor.GetInt64(2 * perSample)
 			}
+			quant.SplitRounded(sc.xh, sc.xl, xq, qx.Bits, lowBits, false)
 			tensor.Im2colInt(sc.xh, g, sc.col)
 			tensor.GemmInt(wc.lo.Data, sc.col, sc.hlAcc, outC, rows, cols)
 			tensor.Im2colInt(sc.xl, g, sc.col)
@@ -591,7 +608,7 @@ func (e *Exec) resultBitplane(out *tensor.Tensor, codes []uint8, ev *epiEval, ma
 					Data: tensor.GetUint64(tensor.BitplaneSize(cols, rows, lowBits+1))}
 			}
 			xlBP = sc.xlBP
-			tensor.Im2colIntTPack(sc.xl, g, nil, xlBP)
+			tensor.Im2colIntTPack(sc.xlRows, g, xlBP)
 		}
 		sampleBase := s * perSample
 		pool.ParallelLimited(chanWorkers, outC, func(oc int) {
@@ -620,7 +637,7 @@ func (e *Exec) resultBitplane(out *tensor.Tensor, codes []uint8, ev *epiEval, ma
 
 	var next, sensitive atomic.Int64
 	pool.ParallelLimited(tasks, tasks, func(int) {
-		sc := newBitplaneScratch(per, perSample, rows, cols, e.predBits)
+		sc := newBitplaneScratch(g, e.predBits, lowBits+1)
 		defer sc.release()
 		for {
 			s := int(next.Add(1)) - 1
@@ -633,40 +650,53 @@ func (e *Exec) resultBitplane(out *tensor.Tensor, codes []uint8, ev *epiEval, ma
 	return sensitive.Load()
 }
 
-// bitplaneScratch is one resultBitplane task's pooled working set: a
-// sample's split activation codes, its predictor accumulators and packed
-// high codes, plus the executor buffers of whichever branch its samples
-// take. The branch buffers are allocated on first use, so a task whose
-// samples all land on one side never pays for the other.
+// bitplaneScratch is one resultBitplane task's pooled working set: one
+// input row's high/low split, a sample's high and low row bitplanes, its
+// predictor accumulators and packed high codes, plus the executor
+// buffers of whichever branch its samples take. The branch buffers
+// (including the int32 code split only the GEMM branch reads) are
+// allocated on first use, so a task whose samples all land on one side
+// never pays for the other. The always-used words share one pooled
+// buffer.
 type bitplaneScratch struct {
-	xh, xl  []int32
-	predAcc []int64
-	xhBP    *tensor.Bitplanes
+	hRow, lRow     []int32
+	xhRows, xlRows *tensor.RowBitplanes
+	words          []uint64
+	predAcc        []int64
+	xhBP           *tensor.Bitplanes
 
 	xlBP           *tensor.Bitplanes
-	col            []int32
+	xh, xl, col    []int32
 	hlAcc, lhllAcc []int64
 }
 
-func newBitplaneScratch(per, perSample, rows, cols, hiBits int) *bitplaneScratch {
+func newBitplaneScratch(g tensor.ConvGeom, hiBits, loBits int) *bitplaneScratch {
+	rows, cols := g.ColRows(), g.ColCols()
+	hiRowSize, loRowSize := tensor.RowBitplaneSize(g, hiBits), tensor.RowBitplaneSize(g, loBits)
+	bpSize := tensor.BitplaneSize(cols, rows, hiBits)
+	words := tensor.GetUint64(bpSize + hiRowSize + loRowSize)
+	split := make([]int32, 2*g.InW)
 	return &bitplaneScratch{
-		xh:      tensor.GetInt32(per),
-		xl:      tensor.GetInt32(per),
-		predAcc: tensor.GetInt64(perSample),
+		hRow:    split[:g.InW],
+		lRow:    split[g.InW:],
+		xhRows:  tensor.NewRowBitplanes(g, hiBits, words[bpSize:bpSize+hiRowSize]),
+		xlRows:  tensor.NewRowBitplanes(g, loBits, words[bpSize+hiRowSize:]),
+		words:   words,
+		predAcc: tensor.GetInt64(g.TotalOutputs()),
 		xhBP: &tensor.Bitplanes{R: cols, L: rows, P: hiBits, W: tensor.BitplaneWords(rows),
-			Data: tensor.GetUint64(tensor.BitplaneSize(cols, rows, hiBits))},
+			Data: words[:bpSize]},
 	}
 }
 
 func (sc *bitplaneScratch) release() {
-	tensor.PutInt32(sc.xh)
-	tensor.PutInt32(sc.xl)
+	tensor.PutUint64(sc.words)
 	tensor.PutInt64(sc.predAcc)
-	tensor.PutUint64(sc.xhBP.Data)
 	if sc.xlBP != nil {
 		tensor.PutUint64(sc.xlBP.Data)
 	}
 	if sc.col != nil {
+		tensor.PutInt32(sc.xh)
+		tensor.PutInt32(sc.xl)
 		tensor.PutInt32(sc.col)
 		tensor.PutInt64(sc.hlAcc)
 		tensor.PutInt64(sc.lhllAcc)

@@ -125,14 +125,47 @@ func writeError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, errorResponse{Error: err.Error()})
 }
 
+// Request-body bounds. An infer body carries one C·H·W sample of JSON
+// floats: inferBytesPerFloat covers the longest float32 encoding
+// ("-1.2345678e-05", 14 bytes) plus separator and generous whitespace,
+// and bodySlack the object wrapper. The admin bodies hold one small
+// field each.
+const (
+	inferBytesPerFloat = 32
+	bodySlack          = 4 << 10
+	adminBodyLimit     = 64 << 10
+)
+
+// inferBodyLimit is the largest /v1/infer body the server reads.
+func (s *Server) inferBodyLimit() int64 {
+	return int64(s.cfg.InputC)*int64(s.cfg.InputH)*int64(s.cfg.InputW)*inferBytesPerFloat + bodySlack
+}
+
+// decodeBody decodes r's JSON body into v, reading at most limit bytes.
+// It answers 413 when the body is larger and 400 when it is malformed,
+// and reports whether v was decoded.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v interface{}) bool {
+	r.Body = http.MaxBytesReader(w, r.Body, limit)
+	err := json.NewDecoder(r.Body).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		writeError(w, http.StatusRequestEntityTooLarge, err)
+	} else {
+		writeError(w, http.StatusBadRequest, err)
+	}
+	return false
+}
+
 func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, errors.New("POST only"))
 		return
 	}
 	var req InferRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if !decodeBody(w, r, s.inferBodyLimit(), &req) {
 		return
 	}
 	reqID := r.Header.Get(RequestIDHeader)
@@ -201,11 +234,8 @@ func (s *Server) handleChaosPanic(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	req := ChaosPanicRequest{Count: 1}
-	if r.ContentLength != 0 {
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
+	if r.ContentLength != 0 && !decodeBody(w, r, adminBodyLimit, &req) {
+		return
 	}
 	if req.Count < 1 {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("count must be >= 1, got %d", req.Count))
@@ -221,11 +251,8 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req ReloadRequest
-	if r.ContentLength != 0 {
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
+	if r.ContentLength != 0 && !decodeBody(w, r, adminBodyLimit, &req) {
+		return
 	}
 	gen, err := s.Reload(req.Path)
 	if err != nil {

@@ -314,3 +314,43 @@ func TestHTTPHotReload(t *testing.T) {
 		t.Fatal("reload did not change answers — seeds too close to detect staleness")
 	}
 }
+
+// TestHTTPBodyLimits checks the request-body bounds: an infer body of
+// the configured shape in its longest float encoding still gets a 200,
+// while an infer or reload body past its limit gets a 413 without the
+// server reading it whole.
+func TestHTTPBodyLimits(t *testing.T) {
+	srv := testServer(t, 31, "odq", Config{MaxBatch: 8, BatchDeadline: 2 * time.Millisecond})
+	srv.Start()
+	defer srv.Drain(10 * time.Second) //nolint:errcheck
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	long := make([]float32, 28*28)
+	for i := range long {
+		long[i] = -1.2345678e-05
+	}
+	resp, body := postJSON(t, ts.URL+"/v1/infer", InferRequest{Input: long})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("longest-encoding infer status %d: %s", resp.StatusCode, body)
+	}
+
+	huge := make([]float32, 40*28*28)
+	for i := range huge {
+		huge[i] = -1.2345678e-05
+	}
+	resp, body = postJSON(t, ts.URL+"/v1/infer", InferRequest{Input: huge})
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversize infer status %d, want 413: %s", resp.StatusCode, body)
+	}
+
+	resp, body = postJSON(t, ts.URL+"/v1/reload", ReloadRequest{Path: string(bytes.Repeat([]byte("a"), 128<<10))})
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversize reload status %d, want 413: %s", resp.StatusCode, body)
+	}
+
+	resp, body = postJSON(t, ts.URL+"/v1/infer", InferRequest{Input: randInput(56)})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("infer after oversize bodies: status %d: %s", resp.StatusCode, body)
+	}
+}

@@ -516,9 +516,9 @@ type Stats struct {
 // Stats returns the live counters.
 func (s *Server) Stats() Stats {
 	st := Stats{
-		Served:     s.served.Load(),
-		Rejected:   s.rejected.Load(),
-		Batches:    s.batches.Load(),
+		Served:          s.served.Load(),
+		Rejected:        s.rejected.Load(),
+		Batches:         s.batches.Load(),
 		QueueDepth:      len(s.queue),
 		QueueCap:        s.cfg.QueueDepth,
 		Replicas:        len(s.replicas),

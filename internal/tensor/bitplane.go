@@ -9,7 +9,8 @@ import (
 // each, with every row stored as P uint64 bitplanes of W = ceil(L/64)
 // words. Plane p of row r occupies Data[(r*P+p)*W : (r*P+p+1)*W]; lane l
 // maps to bit l&63 of word l>>6. Unused tail bits of the last word are
-// kept zero by PackRow, so kernels can run whole words without masking.
+// kept zero by PackRow and Im2colIntTPack, so kernels can run whole words
+// without masking.
 //
 // The layout is the software analogue of a multi-precision PE array: a
 // dot product between two bit-planar rows decomposes into one AND+POPCNT
@@ -38,7 +39,8 @@ func BitplaneSize(rows, lanes, planes int) int {
 
 // NewBitplanes allocates a zeroed bit-planar matrix. Hot paths instead
 // construct a Bitplanes value over pooled scratch from GetUint64 (PackRow
-// fully overwrites its row, so dirty buffers are fine).
+// and Im2colIntTPack fully overwrite their rows, so dirty buffers are
+// fine).
 func NewBitplanes(rows, lanes, planes int, signed bool) *Bitplanes {
 	return &Bitplanes{
 		R: rows, L: lanes, P: planes, W: BitplaneWords(lanes),

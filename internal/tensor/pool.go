@@ -205,7 +205,8 @@ func PutFloat32(s []float32) {
 }
 
 // GetUint64 returns a length-n uint64 scratch buffer with arbitrary
-// contents (bitplane word storage; Bitplanes.PackRow fully overwrites).
+// contents (bitplane word storage; the bitplane packers overwrite every
+// word they own).
 func GetUint64(n int) []uint64 {
 	if v := u64Pool.Get(); v != nil {
 		s := *(v.(*[]uint64))

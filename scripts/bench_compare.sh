@@ -15,7 +15,6 @@ TOL="${BENCH_TOL:-0.5}"
 go build -o /tmp/odq-benchcmp ./cmd/odq-benchcmp
 
 SNAPSHOTS="
-BENCH_odq_conv.json|ODQ_BENCH_SNAPSHOT|TestODQConvBenchSnapshot
 BENCH_train_gemm.json|TRAIN_BENCH_SNAPSHOT|TestTrainGemmBenchSnapshot
 BENCH_telemetry.json|TELEMETRY_BENCH_SNAPSHOT|TestTelemetryBenchSnapshot
 BENCH_bitplane.json|BITPLANE_BENCH_SNAPSHOT|TestBitplaneBenchSnapshot

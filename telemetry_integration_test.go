@@ -105,7 +105,7 @@ func TestTelemetryParityODQInference(t *testing.T) {
 }
 
 // TestTelemetrySensitivityRatio pins the per-layer sensitivity-ratio
-// telemetry to the executor's own profiler across the BENCH_odq_conv.json
+// telemetry to the executor's own profiler across the BenchmarkODQConv
 // scenarios (~30%, ~60%, 100% sensitive): for each, a fresh registry must
 // report layer.c.sensitivity_ratio equal to Exec.SensitiveFraction.
 func TestTelemetrySensitivityRatio(t *testing.T) {
@@ -225,8 +225,8 @@ type TelemetryCost struct {
 // enabled runs interleaved in one process, so machine drift cancels —
 // and it must stay under 2% (the disabled-path cost is strictly smaller
 // still). The baseline comparison against the pre-instrumentation
-// BENCH_train_gemm.json / BENCH_odq_conv.json numbers is informational
-// only: those were recorded in an earlier session, so cross-session
+// BENCH_train_gemm.json numbers is informational only: they were
+// recorded in an earlier session, so cross-session
 // drift (CPU frequency, co-tenants) dominates sub-percent effects.
 type TelemetryBenchSnapshot struct {
 	Micro map[string]TelemetryCost `json:"micro_per_site"`
@@ -336,8 +336,8 @@ func TestTelemetryBenchSnapshot(t *testing.T) {
 		train.Step(qatNet, qatX, qatY, qatOpt, qatParams)
 	}, 2, 20)
 
-	// ODQ conv pinned at the ~30%-sensitive scenario, so the disabled run
-	// is directly comparable to sens30/sparse-parallel in BENCH_odq_conv.json.
+	// ODQ conv pinned at the ~30%-sensitive scenario (BenchmarkODQConv's
+	// sens30 cell).
 	convM, xM := benchConvLayer()
 	th30 := thresholdForSensitivity(convM, xM, 0.30)
 	convM.Exec = core.NewExec(th30)
@@ -352,11 +352,6 @@ func TestTelemetryBenchSnapshot(t *testing.T) {
 		snap.BaselineNs["qat_step_batch32"] = ns
 		snap.DisabledVsBaselinePct["qat_step_batch32"] =
 			100 * (snap.Macro["qat_step_batch32"].DisabledNs - ns) / ns
-	}
-	if ns, ok := baselineODQConvNs(t); ok {
-		snap.BaselineNs["odq_conv"] = ns
-		snap.DisabledVsBaselinePct["odq_conv"] =
-			100 * (snap.Macro["odq_conv"].DisabledNs - ns) / ns
 	}
 
 	data, err := json.MarshalIndent(snap, "", "  ")
@@ -385,26 +380,6 @@ func baselineQATStepNs(t *testing.T) (float64, bool) {
 	}
 	for _, rec := range s.Records {
 		if rec.Section == "qat-step" && rec.Variant == "packed" {
-			return float64(rec.NsPerOp), true
-		}
-	}
-	return 0, false
-}
-
-// baselineODQConvNs reads the sens30 sparse-parallel conv ns/op from
-// BENCH_odq_conv.json (the same layer benchConvLayer builds).
-func baselineODQConvNs(t *testing.T) (float64, bool) {
-	t.Helper()
-	data, err := os.ReadFile("BENCH_odq_conv.json")
-	if err != nil {
-		return 0, false
-	}
-	var s ODQConvBenchSnapshot
-	if err := json.Unmarshal(data, &s); err != nil {
-		return 0, false
-	}
-	for _, rec := range s.Records {
-		if rec.Sensitivity == "sens30" && rec.Variant == "sparse-parallel" {
 			return float64(rec.NsPerOp), true
 		}
 	}
